@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -132,11 +133,12 @@ def atomic_write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
 
 
 class McCheckpointStore:
-    """Checkpoint reader/writer for the Monte-Carlo yield engine.
+    """Checkpoint reader/writer of the chunked-ensemble driver.
 
-    A *chunk payload* is the dict ``MonteCarloYield._evaluate_chunk``
-    returns: start/stop bounds, per-spec value and pass arrays, the
-    overall pass flags, failure counts and quarantine records.
+    A *chunk payload* is the dict one chunk evaluation returns (see
+    :mod:`repro.core.ensemble`): start/stop bounds, per-channel value
+    and pass arrays, the overall pass flags, failure counts and
+    quarantine records.
     """
 
     def __init__(self, path) -> None:
@@ -261,7 +263,10 @@ class McCheckpointStore:
                             "failure_counts", {}).get(str(cid), {}),
                         "ledger": [],
                     }
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, EOFError, KeyError, ValueError,
+                zipfile.BadZipFile) as exc:
+            # A truncated archive surfaces as BadZipFile (central
+            # directory lost) or EOFError (empty file), not OSError.
             raise CheckpointError(
                 f"corrupt checkpoint arrays: {exc}") from exc
         ledger = FailureLedger.from_list(manifest.get("ledger", []))

@@ -22,38 +22,28 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro import resilience, telemetry
-from repro.checkpoint import CheckpointError, McCheckpointStore, RunInterrupted
 from repro.circuit.batch import batched_sweeps, can_batch
 from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.transient import TransientResult, transient
 from repro.circuits.references import CircuitFixture
+from repro.core.ensemble import DEFAULT_CHUNK_SIZE, Chunk, EnsembleRun
 from repro.faultinject import WorkerKilledError, set_current_sample
 from repro.parallel import (
     FailureLedger,
-    FailureRecord,
-    ParallelMap,
     RetryPolicy,
     SampleTimeoutError,
     call_resilient,
-    chunk_ranges,
     clone_fixture,
-    spawn_seed_sequences,
 )
-from repro.resilience import BudgetExpiredError, DeadlineBudget
+from repro.resilience import DeadlineBudget
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
-
-#: Samples per work chunk.  Part of the reproducibility contract: the
-#: chunk grid (and hence the per-chunk seed streams) depends only on
-#: this value, never on ``jobs`` — changing it changes the drawn
-#: variates, changing ``jobs`` does not.
-DEFAULT_CHUNK_SIZE = 32
 
 #: Exception types that mean "this die could not be evaluated" — they
 #: are recorded as NaN (and counted) rather than aborting the run.
@@ -64,28 +54,6 @@ EXPECTED_EVALUATION_ERRORS = (ConvergenceError, SingularCircuitError,
 #: resilience-layer outcomes (timeout, simulated worker death).
 QUARANTINE_ERRORS = EXPECTED_EVALUATION_ERRORS + (SampleTimeoutError,
                                                   WorkerKilledError)
-
-
-def _accel_manifest(batch_size: Optional[int]) -> dict:
-    """Accelerator configuration that affects bit-identity of results.
-
-    Persisted in the checkpoint manifest so a ``--resume`` under a
-    different configuration fails loudly (exit 2) instead of silently
-    splicing chunks solved by different code paths.  The C kernel and
-    the numpy stamping agree only to final-ulp rounding, the batched
-    engines take different damped-iteration paths than the scalar
-    ladder — close enough for physics, not for bit-identity.
-    """
-    from repro.circuit import _ckernel, mna
-    from repro.circuit.mosfet import jacobian_mode
-
-    return {
-        "batch_size": batch_size,
-        "ckernel": bool(_ckernel.available()),
-        "sparse": bool(mna.sparse_available()),
-        "sparse_min_size": int(mna.sparse_min_size()),
-        "jacobians": jacobian_mode(),
-    }
 
 
 class SampleEvaluationError(RuntimeError):
@@ -336,13 +304,8 @@ class MonteCarloYield:
         self.placements = placements
         self.include_ler = include_ler
 
-    def _evaluate_chunk(self, task: Tuple[Tuple[int, int],
-                                          np.random.SeedSequence,
-                                          Optional[RetryPolicy],
-                                          bool, float,
-                                          Optional[int],
-                                          Optional[DeadlineBudget],
-                                          bool]) -> dict:
+    def _evaluate_chunk(self, chunk: Chunk, retry: Optional[RetryPolicy],
+                        batch_size: Optional[int]) -> dict:
         """Evaluate one chunk of samples on a private fixture replica.
 
         The chunk is fully self-contained: it clones the fixture, seeds
@@ -358,42 +321,22 @@ class MonteCarloYield:
         convergence report); a configured :class:`RetryPolicy` retries
         each evaluation with timeout/backoff before quarantining.
 
-        When ``trace`` is set the chunk collects telemetry into a
-        private :func:`~repro.telemetry.worker_session` (span tree
-        ``chunk → sample → analysis → solve.*`` plus solver metrics)
-        and ships the exported payload back under the ``"telemetry"``
-        key — same transport as the results, so the process backend
-        needs no side channel.  ``t_enqueued`` (epoch) dates the task's
-        submission; the gap to chunk start is recorded as queue wait.
-
         ``batch_size`` (when set) evaluates the chunk under
         :func:`~repro.circuit.batch.batched_sweeps`: every ``dc_sweep``
         a spec extractor performs solves its points as lanes of one
         batched Newton ensemble.  The sampler draw order is untouched —
         variates are bit-identical to a scalar run — and the solved
-        metrics agree within Newton tolerance.
-
-        ``profile`` (process backend only — the parent's sampler cannot
-        see this worker) runs the chunk under a private
-        :func:`~repro.obs.profiler.worker_profile` sampler and ships
-        the stack payload back under the ``"profile"`` key, the same
-        transport as telemetry.  Sampling only *reads* frames, so the
-        numeric payload is bit-identical with profiling on or off.
+        metrics agree within Newton tolerance.  All-transient spec sets
+        advance the chunk's dies as lanes instead
+        (:meth:`_evaluate_transient_batched`).
         """
-        if len(task) > 7 and task[7]:
-            from repro.obs.profiler import worker_profile
-
-            with worker_profile(True) as prof:
-                payload = self._evaluate_chunk(task[:7] + (False,))
-            payload["profile"] = prof.snapshot()
-            return payload
-        (start, stop), seed_seq, retry, trace, t_enqueued, batch_size, \
-            budget = task[:7]
-        n = stop - start
+        n = chunk.size
         fixture = clone_fixture(self.fixture)
         circuit = fixture.circuit
-        rng = np.random.default_rng(seed_seq)
+        rng = np.random.default_rng(chunk.seed)
         sampler = MismatchSampler(self.tech, rng, include_ler=self.include_ler)
+        values = {s.name: np.full(n, np.nan) for s in self.specs}
+        ledger = FailureLedger()
         if batch_size:
             # Resource guard: shrink the slab so its (B, n, n) stacks
             # fit the memory ceiling.  Slab partitioning does not
@@ -401,100 +344,83 @@ class MonteCarloYield:
             circuit.compile()
             batch_size = resilience.admit_lanes(
                 min(batch_size, n), circuit.n_unknowns, where="mc-chunk")
-        if (batch_size and self.specs
-                and all(isinstance(s, TransientSpecification)
-                        for s in self.specs)
-                and can_batch(circuit)
-                and resilience.allows("batch")):
-            return self._evaluate_chunk_transient_batched(
-                start, stop, fixture, sampler, trace, t_enqueued,
-                batch_size, budget)
-        values = {s.name: np.full(n, np.nan) for s in self.specs}
-        spec_passes = {s.name: np.zeros(n, dtype=bool) for s in self.specs}
-        passes = np.zeros(n, dtype=bool)
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
+        try:
+            if (batch_size
+                    and all(isinstance(s, TransientSpecification)
+                            for s in self.specs)
+                    and can_batch(circuit)
+                    and resilience.allows("batch")):
+                chunk.span.set(batched="transient")
+                self._evaluate_transient_batched(
+                    chunk, fixture, sampler, batch_size, values, ledger)
+            else:
+                self._evaluate_scalar(chunk, fixture, sampler, retry,
+                                      batch_size, values, ledger)
+        finally:
+            set_current_sample(None)
+        spec_passes = {s.name: np.array([s.passes(v) for v in values[s.name]],
+                                        dtype=bool)
+                       for s in self.specs}
+        passes = np.logical_and.reduce(list(spec_passes.values()))
+        return {"values": values, "spec_passes": spec_passes,
+                "passes": passes, "ledger": ledger}
+
+    def _evaluate_scalar(self, chunk: Chunk, fixture: CircuitFixture,
+                         sampler: MismatchSampler,
+                         retry: Optional[RetryPolicy],
+                         batch_size: Optional[int],
+                         values: Dict[str, np.ndarray],
+                         ledger: FailureLedger) -> None:
+        """One die at a time: assign its variation, run every spec."""
+        circuit = fixture.circuit
         # The resilient wrapper only engages when the policy does
         # something; otherwise evaluation stays a direct call.
         direct = retry is None or (retry.max_attempts == 1
                                    and retry.timeout_s is None)
         attempts = 1 if direct else retry.max_attempts
-        with telemetry.worker_session(trace, f"c{start}.") as tsession:
-            if tsession is not None:
-                queue_wait_s = max(0.0, time.time() - t_enqueued)
-                tsession.metrics.inc("engine.chunks")
-                tsession.metrics.inc("engine.samples", n)
-                tsession.metrics.observe("engine.queue_wait_s", queue_wait_s)
-                chunk_ctx = tsession.tracer.span(
-                    "chunk", start=start, stop=stop,
-                    worker=telemetry.worker_label(),
-                    queue_wait_s=round(queue_wait_s, 6))
-            else:
-                chunk_ctx = telemetry.NULL_SPAN
-            sweep_ctx = batched_sweeps(batch_size) if batch_size else \
-                telemetry.NULL_SPAN
-            try:
-                with chunk_ctx, warm_start(circuit), sweep_ctx:
-                    for k in range(n):
-                        if budget is not None:
-                            budget.check("sample %d" % (start + k))
-                        set_current_sample(start + k)
-                        t_sample = time.perf_counter()
-                        with telemetry.span("sample", index=start + k):
-                            sampler.assign(circuit, self.placements)
-                            sample_ok = True
-                            for spec in self.specs:
-                                with telemetry.span("analysis",
-                                                    spec=spec.name) as a_sp:
-                                    try:
-                                        if direct:
-                                            value = float(
-                                                spec.extractor(fixture))
-                                        else:
-                                            value = call_resilient(
-                                                lambda _s=spec:
-                                                float(_s.extractor(fixture)),
-                                                retry,
-                                                retry_on=QUARANTINE_ERRORS)
-                                    except QUARANTINE_ERRORS as exc:
-                                        value = float("nan")
-                                        name = type(exc).__name__
-                                        failure_counts[name] = \
-                                            failure_counts.get(name, 0) + 1
-                                        ledger.add(start + k, exc,
-                                                   label=spec.name,
-                                                   attempts=attempts)
-                                        a_sp.set(quarantined=name)
-                                    except Exception as exc:
-                                        raise SampleEvaluationError(
-                                            start + k, spec.name, exc) from exc
-                                values[spec.name][k] = value
-                                ok = spec.passes(value)
-                                spec_passes[spec.name][k] = ok
-                                sample_ok = sample_ok and ok
-                            passes[k] = sample_ok
-                        if tsession is not None:
-                            tsession.metrics.observe(
-                                "engine.sample_duration_s",
-                                time.perf_counter() - t_sample)
-            finally:
-                set_current_sample(None)
-            resilience.supervisor().drain_into(ledger)
-            payload = {"start": start, "stop": stop, "values": values,
-                       "spec_passes": spec_passes, "passes": passes,
-                       "failure_counts": failure_counts,
-                       "ledger": ledger.to_list()}
-            if tsession is not None:
-                payload["telemetry"] = tsession.export()
-            return payload
+        tsession = telemetry.active()
+        sweep_ctx = batched_sweeps(batch_size) if batch_size else \
+            telemetry.NULL_SPAN
+        with warm_start(circuit), sweep_ctx:
+            for k in range(chunk.size):
+                index = chunk.start + k
+                if chunk.budget is not None:
+                    chunk.budget.check("sample %d" % index)
+                set_current_sample(index)
+                t_sample = time.perf_counter()
+                with telemetry.span("sample", index=index):
+                    sampler.assign(circuit, self.placements)
+                    for spec in self.specs:
+                        with telemetry.span("analysis",
+                                            spec=spec.name) as a_sp:
+                            try:
+                                if direct:
+                                    value = float(spec.extractor(fixture))
+                                else:
+                                    value = call_resilient(
+                                        lambda _s=spec:
+                                        float(_s.extractor(fixture)),
+                                        retry, retry_on=QUARANTINE_ERRORS)
+                            except QUARANTINE_ERRORS as exc:
+                                value = float("nan")
+                                ledger.add(index, exc, label=spec.name,
+                                           attempts=attempts)
+                                a_sp.set(quarantined=type(exc).__name__)
+                            except Exception as exc:
+                                raise SampleEvaluationError(
+                                    index, spec.name, exc) from exc
+                        values[spec.name][k] = value
+                if tsession is not None:
+                    tsession.metrics.observe(
+                        "engine.sample_duration_s",
+                        time.perf_counter() - t_sample)
 
-    def _evaluate_chunk_transient_batched(self, start: int, stop: int,
-                                          fixture: CircuitFixture,
-                                          sampler: MismatchSampler,
-                                          trace: bool, t_enqueued: float,
-                                          batch_size: int,
-                                          budget: Optional[DeadlineBudget]
-                                          = None) -> dict:
+    def _evaluate_transient_batched(self, chunk: Chunk,
+                                    fixture: CircuitFixture,
+                                    sampler: MismatchSampler,
+                                    batch_size: int,
+                                    values: Dict[str, np.ndarray],
+                                    ledger: FailureLedger) -> None:
         """Dies-as-lanes evaluation of an all-transient-spec chunk.
 
         Per slab of up to ``batch_size`` dies: the sampler assigns every
@@ -510,7 +436,6 @@ class MonteCarloYield:
         """
         from repro.circuit.batch_transient import batched_transient
 
-        n = stop - start
         circuit = fixture.circuit
         # The lockstep integrator also keeps the whole (B, steps+1, n)
         # state history — re-admit the slab size with that included.
@@ -519,106 +444,41 @@ class MonteCarloYield:
             batch_size, circuit.n_unknowns, n_steps=max_steps,
             where="mc-transient-chunk")
         devices = circuit.mosfets
-        values = {s.name: np.full(n, np.nan) for s in self.specs}
-        spec_passes = {s.name: np.zeros(n, dtype=bool) for s in self.specs}
-        passes = np.zeros(n, dtype=bool)
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
-        with telemetry.worker_session(trace, f"c{start}.") as tsession:
-            if tsession is not None:
-                queue_wait_s = max(0.0, time.time() - t_enqueued)
-                tsession.metrics.inc("engine.chunks")
-                tsession.metrics.inc("engine.samples", n)
-                tsession.metrics.observe("engine.queue_wait_s", queue_wait_s)
-                chunk_ctx = tsession.tracer.span(
-                    "chunk", start=start, stop=stop,
-                    worker=telemetry.worker_label(),
-                    queue_wait_s=round(queue_wait_s, 6),
-                    batched="transient")
-            else:
-                chunk_ctx = telemetry.NULL_SPAN
-            try:
-                with chunk_ctx:
-                    for slab0 in range(0, n, batch_size):
-                        if budget is not None:
-                            budget.check("sample %d" % (start + slab0))
-                        dies = list(range(slab0,
-                                          min(slab0 + batch_size, n)))
-                        variations = []
-                        for k in dies:
-                            set_current_sample(start + k)
-                            sampler.assign(circuit, self.placements)
-                            variations.append(
-                                [m.variation for m in devices])
+        for slab0 in range(0, chunk.size, batch_size):
+            if chunk.budget is not None:
+                chunk.budget.check("sample %d" % (chunk.start + slab0))
+            dies = list(range(slab0, min(slab0 + batch_size, chunk.size)))
+            variations = []
+            for k in dies:
+                set_current_sample(chunk.start + k)
+                sampler.assign(circuit, self.placements)
+                variations.append([m.variation for m in devices])
 
-                        def configure(j: int) -> None:
-                            for m, v in zip(devices, variations[j]):
-                                m.variation = v
+            def configure(j: int) -> None:
+                for m, v in zip(devices, variations[j]):
+                    m.variation = v
 
-                        slab_ok = np.ones(len(dies), dtype=bool)
-                        for spec in self.specs:
-                            results, errors = batched_transient(
-                                circuit, len(dies), spec.t_stop_s,
-                                spec.dt_s, configure=configure,
-                                method=spec.method,
-                                lte_rtol=spec.lte_rtol, quarantine=True)
-                            for j, k in enumerate(dies):
-                                set_current_sample(start + k)
-                                if errors[j] is not None:
-                                    value = float("nan")
-                                    name = type(errors[j]).__name__
-                                    failure_counts[name] = \
-                                        failure_counts.get(name, 0) + 1
-                                    ledger.add(start + k, errors[j],
-                                               label=spec.name, attempts=1)
-                                else:
-                                    configure(j)
-                                    try:
-                                        value = float(
-                                            spec.metric(results[j],
-                                                        fixture))
-                                    except QUARANTINE_ERRORS as exc:
-                                        value = float("nan")
-                                        name = type(exc).__name__
-                                        failure_counts[name] = \
-                                            failure_counts.get(name, 0) + 1
-                                        ledger.add(start + k, exc,
-                                                   label=spec.name,
-                                                   attempts=1)
-                                    except Exception as exc:
-                                        raise SampleEvaluationError(
-                                            start + k, spec.name,
-                                            exc) from exc
-                                values[spec.name][k] = value
-                                ok = spec.passes(value)
-                                spec_passes[spec.name][k] = ok
-                                slab_ok[j] = slab_ok[j] and ok
-                        passes[dies] = slab_ok
-            finally:
-                set_current_sample(None)
-            resilience.supervisor().drain_into(ledger)
-            payload = {"start": start, "stop": stop, "values": values,
-                       "spec_passes": spec_passes, "passes": passes,
-                       "failure_counts": failure_counts,
-                       "ledger": ledger.to_list()}
-            if tsession is not None:
-                payload["telemetry"] = tsession.export()
-            return payload
-
-    @staticmethod
-    def _absorb_profile(chunk: dict) -> None:
-        """Fold a worker chunk's stack samples into the ambient profiler.
-
-        Popped (like the telemetry payload) before the chunk reaches the
-        checkpoint store — profiles are observability, not results.
-        """
-        payload = chunk.pop("profile", None)
-        if payload:
-            from repro.obs.profiler import active as profiler_active
-
-            prof = profiler_active()
-            if prof is not None:
-                prof.absorb(payload)
+            for spec in self.specs:
+                results, errors = batched_transient(
+                    circuit, len(dies), spec.t_stop_s, spec.dt_s,
+                    configure=configure, method=spec.method,
+                    lte_rtol=spec.lte_rtol, quarantine=True)
+                for j, k in enumerate(dies):
+                    index = chunk.start + k
+                    set_current_sample(index)
+                    value = float("nan")
+                    if errors[j] is not None:
+                        ledger.add(index, errors[j], label=spec.name)
+                    else:
+                        configure(j)
+                        try:
+                            value = float(spec.metric(results[j], fixture))
+                        except QUARANTINE_ERRORS as exc:
+                            ledger.add(index, exc, label=spec.name)
+                        except Exception as exc:
+                            raise SampleEvaluationError(
+                                index, spec.name, exc) from exc
+                    values[spec.name][k] = value
 
     def _assemble(self, n_samples: int, chunks: List[dict],
                   partial: bool = False) -> YieldResult:
@@ -659,7 +519,6 @@ class MonteCarloYield:
             retry: Optional[RetryPolicy] = None,
             checkpoint: Optional[Union[str, Path]] = None,
             resume: bool = False,
-            checkpoint_every: int = 1,
             progress: Optional[Callable[[dict], None]] = None,
             batch_size: Optional[int] = None,
             budget: Optional[Union[float, DeadlineBudget]] = None
@@ -681,22 +540,19 @@ class MonteCarloYield:
         backoff (see :class:`~repro.parallel.RetryPolicy`); persistent
         failures are quarantined, never fatal.
 
-        ``checkpoint`` names a directory where every completed chunk is
-        persisted atomically (every ``checkpoint_every`` chunks); with
-        ``resume=True`` an existing checkpoint's chunks are restored
-        and only the remainder is evaluated — the final result is
-        bit-identical to an uninterrupted run under the same seed.  An
-        interrupt (Ctrl-C / injected) writes a final checkpoint and
-        raises :class:`~repro.checkpoint.RunInterrupted` carrying the
-        partial result.
-
-        ``progress`` (when given) is invoked after every completed
-        chunk with ``{"done", "total", "elapsed_s"}`` — the CLI
-        heartbeat hangs off this.  With an active
-        :func:`telemetry.session <repro.telemetry.session>` each
-        chunk's telemetry rides back with its results and is merged
-        under the ``run`` span; neither feature perturbs the sampled
-        values (results stay bit-identical with telemetry on or off).
+        ``checkpoint``, ``resume``, ``progress`` and ``budget`` follow
+        the ensemble contract shared with the high-sigma engine (see
+        :mod:`repro.core.ensemble`): every completed chunk is persisted
+        atomically; ``resume=True`` restores an existing checkpoint's
+        chunks and evaluates only the remainder, bit-identical to an
+        uninterrupted run under the same seed; an interrupt writes a
+        final checkpoint and raises
+        :class:`~repro.checkpoint.RunInterrupted` carrying the partial
+        result.  ``progress`` is invoked after every
+        completed chunk with ``{"done", "total", "elapsed_s"}``.  With
+        an active :func:`telemetry.session <repro.telemetry.session>`
+        each chunk's telemetry is merged under the ``run`` span;
+        neither feature perturbs the sampled values.
 
         ``batch_size`` (when set) evaluates each chunk under
         :func:`~repro.circuit.batch.batched_sweeps`: every ``dc_sweep``
@@ -720,176 +576,14 @@ class MonteCarloYield:
         :class:`YieldResult` (``evaluated`` marks what finished, and
         the result reports itself degraded).
         """
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be at least 1 (or None)")
-        if budget is not None and not isinstance(budget, DeadlineBudget):
-            budget = DeadlineBudget.after(budget)
-        ranges = chunk_ranges(n_samples, chunk_size)
-        seeds = spawn_seed_sequences(seed, len(ranges))
-        session = telemetry.active()
-        t_enqueued = time.time()
-        mapper = ParallelMap(backend=backend, n_jobs=jobs)
-        # Chunk-level profiling only under the process backend: serial/
-        # thread chunks run in this process, where the ambient sampler
-        # already sees them — a second sampler would double-count.
-        from repro.obs.profiler import active as profiler_active
-
-        profile_chunks = (profiler_active() is not None
-                          and mapper.backend == "process")
-        tasks = [(bounds, seed_seq, retry, session is not None, t_enqueued,
-                  batch_size, budget, profile_chunks)
-                 for bounds, seed_seq in zip(ranges, seeds)]
-
-        run_ctx = telemetry.NULL_SPAN if session is None else \
-            session.tracer.span("run", kind="mc-yield", n_samples=n_samples,
-                                jobs=jobs, backend=backend,
-                                chunk_size=chunk_size, seed=seed,
-                                batch_size=batch_size)
-        with run_ctx as run_span:
-            run_span_id = None if session is None else run_span.span_id
-            if checkpoint is not None:
-                return self._run_checkpointed(
-                    n_samples, tasks, mapper, Path(checkpoint), resume,
-                    checkpoint_every, seed, chunk_size, progress, session,
-                    run_span_id, batch_size, budget)
-            if session is None and progress is None and budget is None:
-                chunks = mapper.map(self._evaluate_chunk, tasks)
-                for chunk in chunks:
-                    self._absorb_profile(chunk)
-                return self._assemble(n_samples, chunks)
-            chunks = []
-            done = 0
-            try:
-                for _, chunk in mapper.map_completed(
-                        self._evaluate_chunk, tasks, deadline=budget):
-                    if session is not None:
-                        session.merge_worker(chunk.pop("telemetry", None),
-                                             run_span_id)
-                    self._absorb_profile(chunk)
-                    chunks.append(chunk)
-                    done += chunk["stop"] - chunk["start"]
-                    if progress is not None:
-                        progress({"done": done, "total": n_samples,
-                                  "elapsed_s": time.time() - t_enqueued})
-            except BudgetExpiredError as exc:
-                # Deadline hit without a checkpoint: hand back whatever
-                # finished, visibly degraded, instead of raising away
-                # completed work.
-                partial = self._assemble(n_samples, chunks, partial=True)
-                partial.ledger.records.append(FailureRecord(
-                    index=-1, label="resilience:budget",
-                    exception_type=type(exc).__name__,
-                    message=str(exc), attempts=0, convergence_report=None))
-                partial.ledger.dedupe_run_level()
-                partial.ledger.sort()
-                return partial
-            return self._assemble(n_samples, chunks)
-
-    def _run_checkpointed(self, n_samples: int, tasks: List[tuple],
-                          mapper: ParallelMap, checkpoint: Path,
-                          resume: bool, checkpoint_every: int,
-                          seed: int, chunk_size: int,
-                          progress: Optional[Callable[[dict], None]] = None,
-                          session: Optional[telemetry.TelemetrySession]
-                          = None,
-                          run_span_id: Optional[str] = None,
-                          batch_size: Optional[int] = None,
-                          budget: Optional[DeadlineBudget] = None
-                          ) -> YieldResult:
-        """Incremental evaluation with atomic chunk-granular persistence.
-
-        A private :class:`~repro.telemetry.MetricsRegistry` accumulates
-        this run's solver/engine counters; every checkpoint save
-        persists its snapshot in the manifest, and a resume restores
-        the snapshot into both the accumulator and the live session —
-        counters (solves, retries, quarantines…) carry across
-        interruptions instead of resetting.
-        """
-        store = McCheckpointStore(checkpoint)
-        run_params = {"kind": "mc-yield", "seed": seed,
-                      "n_samples": n_samples, "chunk_size": chunk_size,
-                      "spec_names": [s.name for s in self.specs],
-                      "accel": _accel_manifest(batch_size)}
-        metrics_acc = telemetry.MetricsRegistry()
-        completed: Dict[int, dict] = {}
-        if resume:
-            if not store.exists():
-                raise CheckpointError(
-                    f"resume requested but no checkpoint at {checkpoint}")
-            completed, _ = store.load(run_params)
-            restored_metrics = store.load_metrics()
-            metrics_acc.merge(restored_metrics)
-            if session is not None:
-                session.metrics.merge(restored_metrics)
-        elif store.exists():
-            # Refuse to silently clobber an existing checkpoint the
-            # caller did not ask to resume.
-            store.load(run_params)  # validates it is OUR run at least
-            raise CheckpointError(
-                f"checkpoint already exists at {checkpoint}; pass "
-                f"resume=True to continue it or remove the directory")
-        pending = [(cid, task) for cid, task in enumerate(tasks)
-                   if cid not in completed]
-        since_save = 0
-        done = sum(c["stop"] - c["start"] for c in completed.values())
-        t_start = time.time()
-
-        def absorb(chunk: dict) -> None:
-            # Strip the telemetry payload BEFORE the chunk reaches the
-            # store — traces are ephemeral, checkpoints are results.
-            nonlocal done
-            payload = chunk.pop("telemetry", None)
-            if payload is not None:
-                metrics_acc.merge(payload.get("metrics"))
-            if session is not None:
-                session.merge_worker(payload, run_span_id)
-            self._absorb_profile(chunk)
-            done += chunk["stop"] - chunk["start"]
-            if progress is not None:
-                progress({"done": done, "total": n_samples,
-                          "elapsed_s": time.time() - t_start})
-
-        try:
-            for pending_index, chunk in mapper.map_completed(
-                    self._evaluate_chunk, [task for _, task in pending],
-                    deadline=budget):
-                absorb(chunk)
-                completed[pending[pending_index][0]] = chunk
-                since_save += 1
-                if since_save >= checkpoint_every:
-                    store.save(run_params, completed,
-                               metrics=metrics_acc.snapshot())
-                    since_save = 0
-        except BudgetExpiredError as exc:
-            store.save(run_params, completed,
-                       metrics=metrics_acc.snapshot())
-            partial = self._assemble(n_samples, list(completed.values()),
-                                     partial=True)
-            raise RunInterrupted(
-                f"wall-clock budget expired with {len(completed)}/"
-                f"{len(tasks)} chunks complete; checkpoint written to "
-                f"{checkpoint}",
-                checkpoint_path=checkpoint,
-                partial_result=partial, reason="budget") from exc
-        except (KeyboardInterrupt, SystemExit) as exc:
-            store.save(run_params, completed,
-                       metrics=metrics_acc.snapshot())
-            partial = self._assemble(n_samples, list(completed.values()),
-                                     partial=True)
-            raise RunInterrupted(
-                f"run interrupted with {len(completed)}/{len(tasks)} chunks "
-                f"complete; checkpoint written to {checkpoint}",
-                checkpoint_path=checkpoint,
-                partial_result=partial) from exc
-        except BaseException:
-            # Persist whatever finished before propagating the failure —
-            # a crashed run resumes from its last good chunk.
-            store.save(run_params, completed,
-                       metrics=metrics_acc.snapshot())
-            raise
-        store.save(run_params, completed, metrics=metrics_acc.snapshot())
-        return self._assemble(n_samples, list(completed.values()))
+        run = EnsembleRun(
+            self._evaluate_chunk, kind="mc-yield", counters="engine",
+            id_prefix="c", n_samples=n_samples, seed=seed,
+            chunk_size=chunk_size, jobs=jobs, backend=backend,
+            batch_size=batch_size, budget=budget, progress=progress)
+        return run.execute(
+            lambda: run.stage(range(run.n_chunks), retry, batch_size),
+            lambda chunks, partial: self._assemble(n_samples, chunks,
+                                                   partial),
+            {"spec_names": [s.name for s in self.specs]},
+            checkpoint=checkpoint, resume=resume)

@@ -25,7 +25,7 @@ The module also owns the two hashes the service lives on:
   of a process-backend request is a legitimate cache hit.  ``batch_size``
   and the capability flags stay in the key because they select between
   accelerated paths whose results are only equal to tolerance, not to
-  the bit (see ``_accel_manifest`` in the yield engine).
+  the bit (see ``accel_manifest`` in :mod:`repro.core.ensemble`).
 """
 
 from __future__ import annotations

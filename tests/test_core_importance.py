@@ -1,16 +1,16 @@
-"""Unit tests for high-sigma importance sampling."""
+"""Unit tests for plain mean-shift importance sampling.
 
-import math
+``HighSigmaYield.run(adapt=False, surrogate=None)`` is the plain
+estimator: every sample fully solved under one shift along the probed
+direction.  These tests pin its behaviour on the differential pair,
+whose input-referred offset IS the pair ΔV_T, so the tail is analytic.
+"""
 
-import numpy as np
 import pytest
 
-scipy_stats = pytest.importorskip(
-    "scipy.stats", reason="importance sampling needs scipy.stats")
-norm = scipy_stats.norm
-
 from repro.circuits import differential_pair, input_referred_offset_v
-from repro.core import ImportanceSampler, MonteCarloYield, Specification
+from repro.core import HighSigmaYield, MonteCarloYield, Specification, \
+    normal_sf
 from repro.variability import PelgromModel
 
 
@@ -18,6 +18,11 @@ def offset_spec(limit_v):
     return Specification("offset",
                          lambda f: input_referred_offset_v(f),
                          lower=-limit_v, upper=limit_v)
+
+
+def plain_is(engine, n_samples, shift_sigma, seed):
+    return engine.run(n_samples=n_samples, shift_sigma=shift_sigma,
+                      seed=seed, adapt=False, surrogate=None)
 
 
 @pytest.fixture(scope="module")
@@ -34,23 +39,23 @@ def pair_setup():
 class TestProbeDirection:
     def test_direction_is_unit_norm(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        direction = sampler.probe_direction()
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        direction = engine.probe_direction()
         norm2 = sum(v * v for v in direction.values())
         assert norm2 == pytest.approx(1.0)
 
     def test_input_pair_dominates_direction(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        direction = sampler.probe_direction()
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        direction = engine.probe_direction()
         # The offset is set by the input pair; its components dominate.
         pair_mag = abs(direction["m1"]) + abs(direction["m2"])
         assert pair_mag > 0.9
 
     def test_pair_components_opposite_sign(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        direction = sampler.probe_direction()
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        direction = engine.probe_direction()
         assert direction["m1"] * direction["m2"] < 0.0
 
 
@@ -59,10 +64,9 @@ class TestEstimate:
         """P(|offset| > k·σ_pair) ≈ 2·Φ(−k): the offset IS the pair ΔV_T."""
         tech, fx, sigma = pair_setup
         k = 3.0
-        spec = offset_spec(k * sigma)
-        sampler = ImportanceSampler(fx, spec, tech)
-        result = sampler.estimate(n_samples=400, shift_sigma=k, seed=7)
-        analytic = 2.0 * norm.sf(k)
+        engine = HighSigmaYield(fx, offset_spec(k * sigma), tech)
+        result = plain_is(engine, n_samples=400, shift_sigma=k, seed=7)
+        analytic = 2.0 * normal_sf(k)
         assert result.failure_probability == pytest.approx(analytic, rel=0.5)
         assert result.n_failures_observed > 50  # shifted sampling works
 
@@ -73,32 +77,31 @@ class TestEstimate:
         spec = offset_spec(k * sigma)
         mc = MonteCarloYield(fx, [spec], tech).run(n_samples=200, seed=3)
         assert mc.yield_fraction == 1.0  # plain MC is blind here
-        sampler = ImportanceSampler(fx, spec, tech)
-        result = sampler.estimate(n_samples=300, shift_sigma=k, seed=3)
-        analytic = 2.0 * norm.sf(k)
+        result = plain_is(HighSigmaYield(fx, spec, tech), n_samples=300,
+                          shift_sigma=k, seed=3)
+        analytic = 2.0 * normal_sf(k)
         assert result.failure_probability > 0.0
         assert result.failure_probability == pytest.approx(analytic, rel=0.7)
         assert 3.5 < result.sigma_level < 4.5
 
     def test_zero_shift_degenerates_to_plain_mc(self, pair_setup):
         tech, fx, sigma = pair_setup
-        spec = offset_spec(5 * sigma)
-        sampler = ImportanceSampler(fx, spec, tech)
-        result = sampler.estimate(n_samples=100, shift_sigma=0.0, seed=1)
+        engine = HighSigmaYield(fx, offset_spec(5 * sigma), tech)
+        result = plain_is(engine, n_samples=100, shift_sigma=0.0, seed=1)
         # All weights are exactly 1 under zero shift.
         assert result.effective_samples == pytest.approx(100.0)
         assert result.failure_probability == 0.0  # too rare for plain MC
 
     def test_variations_cleared_after_run(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        sampler.estimate(n_samples=20, shift_sigma=3.0, seed=0)
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        plain_is(engine, n_samples=20, shift_sigma=3.0, seed=0)
         assert all(m.variation.delta_vt_v == 0.0 for m in fx.circuit.mosfets)
 
     def test_input_validation(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
         with pytest.raises(ValueError):
-            sampler.estimate(n_samples=0, shift_sigma=3.0)
+            plain_is(engine, n_samples=0, shift_sigma=3.0, seed=0)
         with pytest.raises(ValueError):
-            sampler.estimate(n_samples=10, shift_sigma=-1.0)
+            plain_is(engine, n_samples=10, shift_sigma=-1.0, seed=0)

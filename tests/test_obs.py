@@ -294,6 +294,30 @@ class TestProfiler:
                               profiled.values["offset"], equal_nan=True)
         assert np.array_equal(plain.passes, profiled.passes)
 
+    def test_process_worker_stacks_reach_the_profiler(self, tech90):
+        """High-sigma chunks on process workers ship their stacks home
+        (the shared chunk envelope), without changing the estimate."""
+        from repro.circuits import differential_pair
+        from repro.cli import _offset_extractor
+        from repro.core import HighSigmaYield, Specification
+
+        # Real DC solves: chunks must outlast the sampler interval.
+        spec = Specification("offset", _offset_extractor,
+                             lower=-5e-3, upper=5e-3)
+        engine = HighSigmaYield(differential_pair(tech90), spec, tech90)
+        kwargs = dict(n_samples=64, shift_sigma=3.0, seed=2, adapt=False,
+                      surrogate=None, jobs=2, backend="process")
+        plain = engine.run(**kwargs)
+        with obsprof.profiling(interval_s=0.001) as prof:
+            profiled = engine.run(**kwargs)
+        # The parent never evaluates a chunk on this backend, so these
+        # stacks can only have come back from the workers.
+        stacks = prof.snapshot()["samples"]
+        assert any("repro.core.importance:_evaluate_chunk" in s
+                   for s in stacks)
+        assert np.array_equal(plain.weights, profiled.weights)
+        assert np.array_equal(plain.fails, profiled.fails)
+
 
 # ----------------------------------------------------------------------
 # Diffing

@@ -30,7 +30,12 @@ from repro.circuit import (
     transient,
 )
 from repro.circuits import differential_pair, input_referred_offset_v
-from repro.core import MonteCarloYield, SampleEvaluationError, Specification
+from repro.core import (
+    HighSigmaYield,
+    MonteCarloYield,
+    SampleEvaluationError,
+    Specification,
+)
 from repro.core.corners import CornerAnalysis
 from repro.faultinject import (
     WorkerKilledError,
@@ -456,13 +461,31 @@ class TestFaultInjectionYield:
 # Checkpoint / resume
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
+    """The checkpoint contract on the Monte-Carlo engine.
+
+    :class:`TestHighSigmaCheckpointResume` reruns every engine-level
+    case on the high-sigma engine: both engines share one ensemble
+    driver, so both must keep the same contract.
+    """
+
+    ENGINE = "mc"
+
     def _engine(self, tech90, extractor=_offset):
         fx = differential_pair(tech90)
+        if self.ENGINE == "highsigma":
+            return HighSigmaYield(fx, offset_spec(extractor), tech90)
         return MonteCarloYield(fx, [offset_spec(extractor)], tech90)
+
+    def _outcome(self, result):
+        """(per-sample values, per-sample pass flags, estimate)."""
+        if self.ENGINE == "highsigma":
+            return result.values, ~result.fails, result.failure_probability
+        return result.values["offset"], result.passes, result.yield_fraction
 
     def test_kill_and_resume_bit_identical(self, tech90, tmp_path):
         reference = self._engine(tech90).run(n_samples=64, seed=3,
                                              chunk_size=8)
+        ref_values, ref_passes, ref_estimate = self._outcome(reference)
         ckpt = tmp_path / "ck"
         interrupted = self._engine(
             tech90, interrupting_extractor(_offset, interrupt_on=37))
@@ -477,15 +500,16 @@ class TestCheckpointResume:
         assert partial.is_degraded
         # Completed chunks in the partial result already match.
         mask = partial.evaluated
-        assert np.array_equal(partial.passes[mask], reference.passes[mask])
+        assert np.array_equal(self._outcome(partial)[1][mask],
+                              ref_passes[mask])
 
         resumed = self._engine(tech90).run(n_samples=64, seed=3,
                                            chunk_size=8, checkpoint=ckpt,
                                            resume=True)
-        assert np.array_equal(resumed.passes, reference.passes)
-        assert np.array_equal(resumed.values["offset"],
-                              reference.values["offset"])
-        assert resumed.yield_fraction == reference.yield_fraction
+        values, passes, estimate = self._outcome(resumed)
+        assert np.array_equal(passes, ref_passes)
+        assert np.array_equal(values, ref_values)
+        assert estimate == ref_estimate
         assert not resumed.is_degraded
 
     def test_ledger_round_trips_through_checkpoint(self, tech90, tmp_path):
@@ -544,6 +568,18 @@ class TestCheckpointResume:
             engine.run(n_samples=16, seed=1, chunk_size=8, checkpoint=ckpt,
                        resume=True)
 
+    @pytest.mark.parametrize("keep", ["empty", "10 bytes", "half"])
+    def test_truncated_arrays_refused(self, tech90, tmp_path, keep):
+        # A truncated archive must fail typed, never as a raw
+        # BadZipFile/EOFError from the npz reader.
+        ckpt = tmp_path / "ck"
+        engine = self._engine(tech90)
+        engine.run(n_samples=64, seed=1, chunk_size=8, checkpoint=ckpt)
+        _truncate(ckpt / "chunks.npz", keep)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            engine.run(n_samples=64, seed=1, chunk_size=8, checkpoint=ckpt,
+                       resume=True)
+
     def test_atomic_write_replaces_not_truncates(self, tmp_path):
         target = tmp_path / "data.json"
         atomic_write_json(target, {"v": 1})
@@ -568,6 +604,20 @@ class TestCheckpointResume:
         assert list(loaded) == [0]
         assert np.array_equal(loaded[0]["values"]["s"], np.zeros(8))
         assert len(ledger) == 0
+
+
+class TestHighSigmaCheckpointResume(TestCheckpointResume):
+    ENGINE = "highsigma"
+    # Engine-independent store tests run once, in the base class.
+    test_atomic_write_replaces_not_truncates = None
+    test_store_validates_schema = None
+
+
+def _truncate(path, keep):
+    size = {"empty": 0, "10 bytes": 10,
+            "half": path.stat().st_size // 2}[keep]
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
 
 
 # ----------------------------------------------------------------------
@@ -724,6 +774,20 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "exit codes" in out
         assert "130" in out
+
+    @pytest.mark.parametrize("keep", ["empty", "10 bytes", "half"])
+    def test_truncated_checkpoint_resume_exits_two(self, capsys, tmp_path,
+                                                   keep):
+        from repro.cli import main
+
+        ckpt = tmp_path / "ck"
+        args = ["mc", "--samples", "64", "--seed", "3", "--quiet",
+                "--checkpoint", str(ckpt)]
+        assert main(args) == 0
+        _truncate(ckpt / "chunks.npz", keep)
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 2
+        assert "checkpoint refused" in capsys.readouterr().err
 
     def test_interrupt_writes_checkpoint_and_exits_130(
             self, capsys, monkeypatch, tmp_path):
