@@ -22,18 +22,20 @@ wasting simulations on the flat tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry, units
 from repro.aging.base import AgingMechanism, DeviceStress, MechanismState
-from repro.circuit.dc import DcSolution, dc_operating_point
+from repro.circuit.dc import dc_operating_point
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientResult, transient
 from repro.circuits.references import CircuitFixture
-from repro.parallel import ParallelMap, replicate, spawn_seed_sequences
+from repro.core.ensemble import EnsembleRun, merge_chunks
+from repro.parallel import replicate, spawn_seed_sequences
+from repro.technology.node import TechnologyNode
 
 MetricFn = Callable[[CircuitFixture], float]
 
@@ -348,10 +350,12 @@ def aging_ensemble(fixture: CircuitFixture,
     :class:`~repro.variability.MismatchSampler` variations, and returns
     one :class:`AgingReport` per die (in sample order).
 
-    Every sample evaluates a private replica of ``(fixture,
+    Every sample is one chunk of :class:`~repro.core.ensemble.
+    EnsembleRun`: it evaluates a private replica of ``(fixture,
     mechanisms)`` seeded from its own ``SeedSequence.spawn`` child, so
     results are bit-identical for any ``jobs``/``backend`` choice and
-    the caller's fixture is never mutated.
+    the caller's fixture is never mutated.  The ``process`` backend
+    needs picklable (module-level) metric functions.
 
     With ``quarantine=True`` the return value is ``(reports, ledger)``:
     a die whose mission fails (non-convergence at some epoch, singular
@@ -371,10 +375,6 @@ def aging_ensemble(fixture: CircuitFixture,
     scalar integrator with its full error semantics.  Requires
     ``jobs=1`` — the lockstep driver is already the parallelism.
     """
-    from repro.core.yield_analysis import QUARANTINE_ERRORS
-    from repro.faultinject import set_current_sample
-    from repro.variability.sampler import MismatchSampler
-
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if batch_size is not None:
@@ -389,76 +389,65 @@ def aging_ensemble(fixture: CircuitFixture,
         return _aging_ensemble_batched(
             fixture, mechanisms, profile, metrics, tech, n_samples,
             seed, batch_size, include_ler, quarantine)
-    seeds = spawn_seed_sequences(seed, n_samples)
+    run = EnsembleRun(
+        _AgingMission(fixture, tuple(mechanisms), profile, metrics, tech,
+                      include_ler, quarantine),
+        kind="aging-ensemble", counters="aging", id_prefix="s",
+        n_samples=n_samples, seed=seed, chunk_size=1, jobs=jobs,
+        backend=backend)
 
-    def run_sample(task) -> AgingReport:
-        index, seed_seq = task
-        fx, mechs = replicate((fixture, mechanisms))
-        rng = np.random.default_rng(seed_seq)
-        sampler = MismatchSampler(tech, rng, include_ler=include_ler)
+    def assemble(chunks: List[dict], _partial: bool):
+        merged = merge_chunks(chunks, n_samples)
+        reports = [chunk["report"] for chunk in merged.chunks]
+        return (reports, merged.ledger) if quarantine else reports
+
+    return run.execute(lambda: run.stage(range(run.n_chunks)), assemble)
+
+
+@dataclass(frozen=True)
+class _AgingMission:
+    """One die's mission as an ensemble chunk (picklable evaluator).
+
+    The die evaluates a private replica of ``(fixture, mechanisms)``
+    with a :class:`~repro.variability.MismatchSampler` seeded from the
+    chunk's ``SeedSequence`` — one die per chunk, so the seeds are
+    exactly ``spawn_seed_sequences(seed, n_samples)``.
+    """
+
+    fixture: CircuitFixture
+    mechanisms: Tuple[AgingMechanism, ...]
+    profile: MissionProfile
+    metrics: Dict[str, MetricFn]
+    tech: TechnologyNode
+    include_ler: bool
+    quarantine: bool
+
+    def __call__(self, chunk) -> dict:
+        from repro.core.yield_analysis import QUARANTINE_ERRORS
+        from repro.faultinject import set_current_sample
+        from repro.parallel import FailureLedger
+        from repro.variability.sampler import MismatchSampler
+
+        index = chunk.start
+        ledger = FailureLedger()
+        report = None
         try:
-            set_current_sample(index)
-            sampler.assign(fx.circuit)
-            simulator = ReliabilitySimulator(fx, list(mechs))
-            return simulator.run(profile, metrics=metrics)
+            with telemetry.span("sample", index=index):
+                fx, mechs = replicate((self.fixture, self.mechanisms))
+                sampler = MismatchSampler(
+                    self.tech, np.random.default_rng(chunk.seed),
+                    include_ler=self.include_ler)
+                set_current_sample(index)
+                sampler.assign(fx.circuit)
+                report = ReliabilitySimulator(fx, list(mechs)).run(
+                    self.profile, metrics=self.metrics)
+        except QUARANTINE_ERRORS as exc:
+            if not self.quarantine:
+                raise
+            ledger.add(index, exc, label="mission")
         finally:
             set_current_sample(None)
-
-    session = telemetry.active()
-    trace = session is not None
-
-    def evaluate(task):
-        # Each sample collects into a private worker session (span tree
-        # ``sample → aging.mission → aging.epoch → solve.*``) shipped
-        # back with the outcome, mirroring the Monte-Carlo chunks.
-        index = task[0]
-        with telemetry.worker_session(trace, f"s{index}.") as tsession:
-            if tsession is not None:
-                sample_ctx = tsession.tracer.span(
-                    "sample", index=index,
-                    worker=telemetry.worker_label())
-            else:
-                sample_ctx = telemetry.NULL_SPAN
-            try:
-                with sample_ctx:
-                    outcome = run_sample(task)
-            except QUARANTINE_ERRORS as exc:
-                if not quarantine:
-                    raise
-                outcome = exc
-            payload = None if tsession is None else tsession.export()
-            return outcome, payload
-
-    mapper = ParallelMap(backend=backend, n_jobs=jobs)
-    tasks = list(enumerate(seeds))
-    run_ctx = telemetry.NULL_SPAN if session is None else \
-        session.tracer.span("run", kind="aging-ensemble",
-                            n_samples=n_samples, jobs=jobs, backend=backend)
-    with run_ctx as run_span:
-        run_span_id = None if session is None else run_span.span_id
-        outcomes = []
-        for outcome, payload in mapper.map(evaluate, tasks):
-            if session is not None:
-                session.merge_worker(payload, run_span_id)
-                session.metrics.inc("engine.samples")
-            outcomes.append(outcome)
-        if not quarantine:
-            return outcomes
-
-        from repro import resilience
-        from repro.parallel import FailureLedger
-
-        reports: List[Optional[AgingReport]] = []
-        ledger = FailureLedger()
-        for index, outcome in enumerate(outcomes):
-            if isinstance(outcome, BaseException):
-                reports.append(None)
-                ledger.add(index, outcome, label="mission")
-            else:
-                reports.append(outcome)
-        resilience.supervisor().drain_into(ledger)
-        ledger.dedupe_run_level()
-        return reports, ledger
+        return {"report": report, "ledger": ledger}
 
 
 def _aging_ensemble_batched(fixture: CircuitFixture,
@@ -530,7 +519,7 @@ def _aging_ensemble_batched(fixture: CircuitFixture,
                 sims.append(ReliabilitySimulator(fx, replicate(
                     list(mechanisms))))
                 if session is not None:
-                    session.metrics.inc("engine.samples")
+                    session.metrics.inc("aging.samples")
 
             def configure(j: int) -> None:
                 # Lane j's die: its sampled variation plus whatever

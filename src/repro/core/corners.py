@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.circuit.elements import DcSpec, VoltageSource
 from repro.circuits.references import CircuitFixture
+from repro.core.ensemble import Chunk, EnsembleRun, merge_chunks
 from repro.core.yield_analysis import QUARANTINE_ERRORS, Specification
-from repro.parallel import FailureLedger, ParallelMap, clone_fixture
+from repro.parallel import FailureLedger, clone_fixture
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import ProcessCorner, standard_corners
 
@@ -103,6 +104,8 @@ class CornerAnalysis:
         self.corners = corners if corners is not None else standard_corners(tech)
         self.vdd_scales = list(vdd_scales)
         self.temperatures_k = list(temperatures_k)
+        if not (self.corners and self.vdd_scales and self.temperatures_k):
+            raise ValueError("the PVT matrix is empty")
         source = fixture.circuit[vdd_source_name]
         if not isinstance(source, VoltageSource):
             raise TypeError(f"{vdd_source_name!r} is not a voltage source")
@@ -114,146 +117,77 @@ class CornerAnalysis:
             device.params = replace(device.params,
                                     temperature_k=temperature_k)
 
-    def _pvt_points(self) -> List[Tuple[str, PvtPoint]]:
+    def _pvt_points(self) -> List[PvtPoint]:
         """The PVT matrix in its canonical (corner, vdd, T) nest order."""
-        points = []
-        for corner_name in self.corners:
-            for scale in self.vdd_scales:
-                for temperature in self.temperatures_k:
-                    points.append((corner_name,
-                                   PvtPoint(corner=corner_name,
-                                            vdd_scale=scale,
-                                            temperature_k=temperature)))
-        return points
+        return [PvtPoint(corner=corner_name, vdd_scale=scale,
+                         temperature_k=temperature)
+                for corner_name in self.corners
+                for scale in self.vdd_scales
+                for temperature in self.temperatures_k]
 
-    def _evaluate_point(self, task: Tuple[int, str, PvtPoint, bool]) -> dict:
-        """Evaluate every spec at one PVT point on a fixture replica.
+    def _evaluate_point(self, chunk: Chunk) -> dict:
+        """Evaluate every spec at one PVT point (one chunk) on a replica.
 
-        Used by the parallel path: each point configures a private
-        clone, so nothing shared is mutated and no restoration is
-        needed.  Metric extraction has no randomness, hence the result
-        is identical to the serial in-place path.  Failed evaluations
-        (non-convergence, timeouts, singular systems) become NaN and are
-        quarantined in the returned ledger — one bad corner never aborts
-        the matrix.
-
-        With ``trace`` set the point collects telemetry into a private
-        worker session (``point → analysis → solve.*``) shipped back
-        under the ``"telemetry"`` key, exactly like the Monte-Carlo
-        chunks.
+        Each point configures a private clone, so the caller's fixture
+        is never mutated and evaluation order cannot leak from one point
+        into the next.  Metric extraction has no randomness (the chunk
+        seed is unused), so every backend gives identical values.
+        Failed evaluations (non-convergence, timeouts, singular systems)
+        become NaN and are quarantined in the returned ledger — one bad
+        corner never aborts the matrix.
         """
-        index, corner_name, point, trace = task
-        with telemetry.worker_session(trace, f"p{index}.") as tsession:
-            fixture = clone_fixture(self.fixture)
-            circuit = fixture.circuit
-            source = circuit[self.vdd_source_name]
-            nominal_vdd = source.spec.dc_value()
-            self.corners[corner_name].apply(circuit)
-            source.spec = DcSpec(point.vdd_scale * nominal_vdd)
-            self._set_temperature(circuit, point.temperature_k)
-            out = {}
-            ledger = FailureLedger()
-            if tsession is not None:
-                tsession.metrics.inc("engine.corner_points")
-                point_ctx = tsession.tracer.span(
-                    "point", label=point.label,
-                    worker=telemetry.worker_label())
-            else:
-                point_ctx = telemetry.NULL_SPAN
-            with point_ctx:
-                for spec in self.specs:
-                    with telemetry.span("analysis", spec=spec.name) as a_sp:
-                        try:
-                            out[spec.name] = float(spec.extractor(fixture))
-                        except QUARANTINE_ERRORS as exc:
-                            out[spec.name] = float("nan")
-                            ledger.add(index, exc,
-                                       label=f"{spec.name}@{point.label}")
-                            a_sp.set(quarantined=type(exc).__name__)
-            from repro import resilience
+        index = chunk.start
+        point = self._pvt_points()[index]
+        fixture = clone_fixture(self.fixture)
+        circuit = fixture.circuit
+        source = circuit[self.vdd_source_name]
+        self.corners[point.corner].apply(circuit)
+        source.spec = DcSpec(point.vdd_scale * source.spec.dc_value())
+        self._set_temperature(circuit, point.temperature_k)
+        values = {}
+        ledger = FailureLedger()
+        with telemetry.span("point", label=point.label):
+            for spec in self.specs:
+                with telemetry.span("analysis", spec=spec.name) as a_sp:
+                    try:
+                        values[spec.name] = float(spec.extractor(fixture))
+                    except QUARANTINE_ERRORS as exc:
+                        values[spec.name] = float("nan")
+                        ledger.add(index, exc,
+                                   label=f"{spec.name}@{point.label}")
+                        a_sp.set(quarantined=type(exc).__name__)
+        return {"values": values, "ledger": ledger}
 
-            resilience.supervisor().drain_into(ledger)
-            payload = {"values": out, "ledger": ledger.to_list()}
-            if tsession is not None:
-                payload["telemetry"] = tsession.export()
-            return payload
+    def _assemble(self, points: List[PvtPoint],
+                  chunks: List[dict]) -> CornerResult:
+        merged = merge_chunks(chunks, len(points))
+        values: Dict[str, Dict[str, float]] = {s.name: {} for s in self.specs}
+        for chunk in merged.chunks:
+            label = points[chunk["start"]].label
+            for name, value in chunk["values"].items():
+                values[name][label] = value
+        return CornerResult(values=values, points=points,
+                            ledger=merged.ledger)
 
     def run(self, jobs: int = 1, backend: str = "auto") -> CornerResult:
-        """Evaluate every spec at every PVT point; restores the fixture.
+        """Evaluate every spec at every PVT point.
 
-        ``jobs > 1`` fans the PVT matrix out over
-        :class:`repro.parallel.ParallelMap` workers, each configuring a
-        private fixture replica; the original fixture is untouched.
+        The matrix runs on :class:`~repro.core.ensemble.EnsembleRun`,
+        one PVT point per chunk, each on a private fixture replica:
+        the caller's fixture is never mutated, and ``jobs``/``backend``
+        fan the points out over :class:`repro.parallel.ParallelMap`
+        workers without changing any value.
 
         Degrades gracefully: a PVT point whose evaluation fails is NaN
         in :attr:`CornerResult.values` (and therefore the worst case for
         its spec) and carries a diagnostic record in
         :attr:`CornerResult.ledger`; the run always completes.
         """
-        session = telemetry.active()
-        tasks = [(index, corner_name, point, session is not None)
-                 for index, (corner_name, point)
-                 in enumerate(self._pvt_points())]
-        points = [point for _, _, point, _ in tasks]
-        values: Dict[str, Dict[str, float]] = {s.name: {} for s in self.specs}
-        ledger = FailureLedger()
-        run_ctx = telemetry.NULL_SPAN if session is None else \
-            session.tracer.span("run", kind="corner-matrix",
-                                n_points=len(tasks), jobs=jobs,
-                                backend=backend)
-        with run_ctx as run_span:
-            run_span_id = None if session is None else run_span.span_id
-            if jobs != 1 or backend not in ("auto", "serial"):
-                mapper = ParallelMap(backend=backend, n_jobs=jobs)
-                for (_, _, point, _), out in zip(
-                        tasks, mapper.map(self._evaluate_point, tasks)):
-                    if session is not None:
-                        session.merge_worker(out.pop("telemetry", None),
-                                             run_span_id)
-                    for name, value in out["values"].items():
-                        values[name][point.label] = value
-                    ledger.merge(FailureLedger.from_list(out["ledger"]))
-                ledger.dedupe_run_level()
-                ledger.sort()
-                return CornerResult(values=values, points=points,
-                                    ledger=ledger)
-
-            circuit = self.fixture.circuit
-            source = circuit[self.vdd_source_name]
-            nominal_spec = source.spec
-            nominal_vdd = nominal_spec.dc_value()
-            try:
-                for index, corner_name, point, _ in tasks:
-                    if session is not None:
-                        session.metrics.inc("engine.corner_points")
-                    with telemetry.span("point", label=point.label):
-                        self.corners[corner_name].apply(circuit)
-                        source.spec = DcSpec(point.vdd_scale * nominal_vdd)
-                        self._set_temperature(circuit, point.temperature_k)
-                        for spec in self.specs:
-                            with telemetry.span("analysis",
-                                                spec=spec.name) as a_sp:
-                                try:
-                                    value = float(
-                                        spec.extractor(self.fixture))
-                                except QUARANTINE_ERRORS as exc:
-                                    value = float("nan")
-                                    ledger.add(
-                                        index, exc,
-                                        label=f"{spec.name}@{point.label}")
-                                    a_sp.set(
-                                        quarantined=type(exc).__name__)
-                            values[spec.name][point.label] = value
-            finally:
-                source.spec = nominal_spec
-                self._set_temperature(circuit, 300.0)
-                for device in circuit.mosfets:
-                    from repro.circuit.mosfet import DeviceVariation
-
-                    device.variation = DeviceVariation()
-            from repro import resilience
-
-            resilience.supervisor().drain_into(ledger)
-            ledger.dedupe_run_level()
-            ledger.sort()
-            return CornerResult(values=values, points=points, ledger=ledger)
+        points = self._pvt_points()
+        run = EnsembleRun(
+            self._evaluate_point, kind="corner-matrix", counters="corners",
+            id_prefix="p", n_samples=len(points), seed=0, chunk_size=1,
+            jobs=jobs, backend=backend)
+        return run.execute(
+            lambda: run.stage(range(run.n_chunks)),
+            lambda chunks, _partial: self._assemble(points, chunks))

@@ -20,10 +20,15 @@ function, so the two engines share one evaluation contract:
   ``RunInterrupted``) and a crash (final checkpoint, then the original
   exception).
 
-An engine supplies a chunk evaluator and an assembler.  A run may have
-several *stages* on one chunk grid (high-sigma: pilot, then main); every
-stage task carries its own arguments, which keeps chunks pure even when
-a stage's arguments are derived from earlier chunks.
+An engine supplies a chunk evaluator and an assembler, which starts
+from :func:`merge_chunks`.  A run may have several *stages* on one chunk
+grid (high-sigma: pilot, then main); every stage task carries its own
+arguments, which keeps chunks pure even when a stage's arguments are
+derived from earlier chunks.
+
+Four ensembles run on the driver: Monte-Carlo yield, high-sigma yield,
+the corner matrix (one PVT point per chunk) and the aging ensemble (one
+die per chunk).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 from repro import resilience, telemetry
 from repro.checkpoint import CheckpointError, McCheckpointStore, RunInterrupted
 from repro.parallel import (
+    FailureLedger,
     FailureRecord,
     ParallelMap,
     chunk_ranges,
@@ -75,6 +81,46 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
         "sparse_min_size": int(mna.sparse_min_size()),
         "jacobians": jacobian_mode(),
     }
+
+
+@dataclass(frozen=True)
+class MergedChunks:
+    """The bookkeeping every assembler shares (see :func:`merge_chunks`)."""
+
+    chunks: List[dict]
+    """The chunk payloads in ascending start order."""
+
+    failure_counts: Dict[str, int]
+    """Exception type name → quarantined evaluations it caused."""
+
+    ledger: FailureLedger
+    """Every chunk's records, run-level duplicates dropped, sorted."""
+
+    evaluated: Optional[np.ndarray]
+    """Per-sample mask of finished chunks for a partial run, else None."""
+
+
+def merge_chunks(chunks: Iterable[dict], n_samples: int,
+                 partial: bool = False) -> MergedChunks:
+    """Merge completed chunk payloads in ascending start order.
+
+    Ordering by start makes every assembled result independent of
+    completion order — the property that makes parallel runs and
+    checkpointed resumes bit-identical to serial, uninterrupted ones.
+    """
+    ordered = sorted(chunks, key=lambda c: c["start"])
+    failure_counts: Dict[str, int] = {}
+    ledger = FailureLedger()
+    evaluated = np.zeros(n_samples, dtype=bool) if partial else None
+    for chunk in ordered:
+        if evaluated is not None:
+            evaluated[chunk["start"]:chunk["stop"]] = True
+        for name, count in chunk["failure_counts"].items():
+            failure_counts[name] = failure_counts.get(name, 0) + count
+        ledger.merge(FailureLedger.from_list(chunk["ledger"]))
+    ledger.dedupe_run_level()
+    ledger.sort()
+    return MergedChunks(ordered, failure_counts, ledger, evaluated)
 
 
 @dataclass(frozen=True)
@@ -169,9 +215,9 @@ class EnsembleRun:
     def __init__(self, evaluate: Callable[..., dict], *, kind: str,
                  counters: str, id_prefix: str, n_samples: int, seed: int,
                  chunk_size: int, jobs: int, backend: str,
-                 batch_size: Optional[int],
-                 budget: Optional[Union[float, DeadlineBudget]],
-                 progress: Optional[Callable[[dict], None]],
+                 batch_size: Optional[int] = None,
+                 budget: Optional[Union[float, DeadlineBudget]] = None,
+                 progress: Optional[Callable[[dict], None]] = None,
                  **span_attrs: Any):
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
@@ -214,16 +260,16 @@ class EnsembleRun:
 
     def execute(self, stages: Callable[[], None],
                 assemble: Callable[[List[dict], bool], R],
-                identity: dict, *,
+                identity: Optional[dict] = None, *,
                 checkpoint: Optional[Union[str, Path]] = None,
                 resume: bool = False) -> R:
         """Run ``stages`` under the run span and the shared exit paths.
 
         ``assemble(chunks, partial)`` turns the completed chunk payloads
-        into the engine's result.  ``identity`` (must hold
-        ``spec_names``, the checkpoint's array channels) joins seed,
-        sample count and chunk size as the checkpoint identity a resume
-        must match.
+        into the engine's result.  ``identity`` (needed only with a
+        ``checkpoint``; must hold ``spec_names``, the checkpoint's array
+        channels) joins seed, sample count and chunk size as the
+        checkpoint identity a resume must match.
         """
         session = self.session
         run_ctx = telemetry.NULL_SPAN if session is None else \

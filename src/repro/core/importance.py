@@ -77,12 +77,18 @@ from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.mosfet import DeviceVariation
 from repro.circuits.references import CircuitFixture
-from repro.core.ensemble import DEFAULT_CHUNK_SIZE, Chunk, EnsembleRun
+from repro.core.ensemble import (
+    DEFAULT_CHUNK_SIZE,
+    Chunk,
+    EnsembleRun,
+    merge_chunks,
+)
 from repro.core.yield_analysis import (
     QUARANTINE_ERRORS,
     SampleEvaluationError,
     Specification,
     TransientSpecification,
+    evaluate_transient_lanes,
 )
 from repro.faultinject import set_current_sample
 from repro.parallel import FailureLedger, clone_fixture
@@ -797,8 +803,8 @@ class HighSigmaYield:
         ``batch_size`` is set (the extractor's internal sweeps become
         lanes of one :class:`BatchDcEngine` ensemble); transient specs
         advance the masked samples-as-lanes through
-        :func:`batched_transient`.  Slab sizes honour
-        :func:`resilience.admit_lanes`.
+        :func:`~repro.core.yield_analysis.evaluate_transient_lanes`.
+        Slab sizes honour :func:`resilience.admit_lanes`.
         """
         circuit = fixture.circuit
         spec = self.spec
@@ -812,10 +818,6 @@ class HighSigmaYield:
                     beta_factor=float(beta[k, j]),
                     gamma_factor=float(gamma[k, j]))
 
-        def quarantine(k: int, exc: BaseException) -> None:
-            values[k] = float("nan")
-            ledger.add(start + int(k), exc, label=spec.name)
-
         if batch_size:
             circuit.compile()
             batch_size = resilience.admit_lanes(
@@ -823,9 +825,10 @@ class HighSigmaYield:
                 where="highsigma-chunk")
         if (batch_size and isinstance(spec, TransientSpecification)
                 and can_batch(circuit) and resilience.allows("batch")):
-            self._solve_transient_batched(
-                fixture, start, indices, configure, quarantine, values,
-                batch_size, budget)
+            evaluate_transient_lanes(
+                fixture, [spec], chunk, indices, configure,
+                {spec.name: values}, ledger, batch_size,
+                where="highsigma-transient-chunk")
             return
         sweep_ctx = batched_sweeps(batch_size) if batch_size \
             else telemetry.NULL_SPAN
@@ -840,46 +843,11 @@ class HighSigmaYield:
                     try:
                         values[k] = float(spec.extractor(fixture))
                     except QUARANTINE_ERRORS as exc:
-                        quarantine(int(k), exc)
+                        # values[k] stays NaN: solved samples start so.
+                        ledger.add(start + int(k), exc, label=spec.name)
                     except Exception as exc:
                         raise SampleEvaluationError(start + int(k),
                                                     spec.name, exc) from exc
-
-    def _solve_transient_batched(self, fixture: CircuitFixture, start: int,
-                                 indices: np.ndarray, configure, quarantine,
-                                 values: np.ndarray, batch_size: int,
-                                 budget: Optional[DeadlineBudget]) -> None:
-        """Samples-as-lanes lockstep transient over the solve set."""
-        from repro.circuit.batch_transient import batched_transient
-
-        circuit = fixture.circuit
-        spec = self.spec
-        max_steps = max(1, int(round(spec.t_stop_s / spec.dt_s)))
-        batch_size = resilience.admit_lanes(
-            batch_size, circuit.n_unknowns, n_steps=max_steps,
-            where="highsigma-transient-chunk")
-        for pos in range(0, len(indices), batch_size):
-            slab = [int(k) for k in indices[pos:pos + batch_size]]
-            if budget is not None:
-                budget.check("sample %d" % (start + slab[0]))
-            results, errors = batched_transient(
-                circuit, len(slab), spec.t_stop_s, spec.dt_s,
-                configure=lambda j: configure(slab[j]),
-                method=spec.method, lte_rtol=spec.lte_rtol,
-                quarantine=True)
-            for j, k in enumerate(slab):
-                set_current_sample(start + k)
-                if errors[j] is not None:
-                    quarantine(k, errors[j])
-                    continue
-                configure(k)
-                try:
-                    values[k] = float(spec.metric(results[j], fixture))
-                except QUARANTINE_ERRORS as exc:
-                    quarantine(k, exc)
-                except Exception as exc:
-                    raise SampleEvaluationError(start + k, spec.name,
-                                                exc) from exc
 
     # -- adaptive refinement -------------------------------------------
     @staticmethod
@@ -939,26 +907,20 @@ class HighSigmaYield:
                   two_sided: bool, n_pilot: int,
                   surrogate: Optional[Surrogate],
                   partial: bool = False) -> HighSigmaResult:
+        merged = merge_chunks(chunks, n_samples, partial)
+        evaluated = merged.evaluated
         values = np.full(n_samples, np.nan)
         weights = np.zeros(n_samples)
         solved = np.zeros(n_samples, dtype=bool)
         fails = np.zeros(n_samples, dtype=bool)
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
-        evaluated = np.zeros(n_samples, dtype=bool) if partial else None
         d = len(self.fixture.circuit.mosfets)
         audit_rows: List[Tuple[np.ndarray, ...]] = []
-        for chunk in sorted(chunks, key=lambda c: c["start"]):
+        for chunk in merged.chunks:
             sl = slice(chunk["start"], chunk["stop"])
             values[sl] = chunk["values"]["value"]
             weights[sl] = chunk["values"]["weight"]
             solved[sl] = chunk["values"]["solved"] > 0.5
             fails[sl] = ~chunk["passes"]
-            if evaluated is not None:
-                evaluated[sl] = True
-            for name, count in chunk["failure_counts"].items():
-                failure_counts[name] = failure_counts.get(name, 0) + count
-            ledger.merge(FailureLedger.from_list(chunk.get("ledger", [])))
             if surrogate is not None:
                 idx = np.arange(chunk["start"], chunk["stop"])
                 amask = ((idx >= n_pilot)
@@ -994,8 +956,6 @@ class HighSigmaYield:
                     1 for pv, av in zip(predictions, vals)
                     if self.spec.passes(float(pv))
                     != self.spec.passes(float(av)))
-        ledger.dedupe_run_level()
-        ledger.sort()
         return HighSigmaResult(
             n_samples=n_samples, spec_name=self.spec.name, values=values,
             weights=weights, fails=fails, solved=solved,
@@ -1003,7 +963,7 @@ class HighSigmaYield:
             two_sided=two_sided, n_pilot=n_pilot,
             audit_count=audit_count, audit_mismatches=audit_mismatches,
             surrogate_info=surrogate.info() if surrogate else None,
-            failure_counts=failure_counts, ledger=ledger,
+            failure_counts=merged.failure_counts, ledger=merged.ledger,
             evaluated=evaluated)
 
     def _fit_surrogate(self, config: SurrogateConfig,

@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,12 @@ from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.transient import TransientResult, transient
 from repro.circuits.references import CircuitFixture
-from repro.core.ensemble import DEFAULT_CHUNK_SIZE, Chunk, EnsembleRun
+from repro.core.ensemble import (
+    DEFAULT_CHUNK_SIZE,
+    Chunk,
+    EnsembleRun,
+    merge_chunks,
+)
 from repro.faultinject import WorkerKilledError, set_current_sample
 from repro.parallel import (
     FailureLedger,
@@ -178,6 +183,62 @@ def transient_specification(
                                   t_stop_s=t_stop_s, dt_s=dt_s,
                                   method=method, lte_rtol=lte_rtol,
                                   metric=metric)
+
+
+def evaluate_transient_lanes(fixture: CircuitFixture,
+                             specs: Sequence[TransientSpecification],
+                             chunk: Chunk, lanes: Sequence[int],
+                             configure: Callable[[int], None],
+                             values: Dict[str, np.ndarray],
+                             ledger: FailureLedger, batch_size: int,
+                             where: str) -> None:
+    """Samples-as-lanes lockstep transient over a chunk's ``lanes``.
+
+    ``configure(k)`` loads chunk sample ``k``'s devices into the
+    fixture.  Per slab of up to ``batch_size`` samples (re-admitted
+    under the memory ceiling with the ``(B, steps+1, n)`` state history
+    included; ``where`` labels the admission), each spec's transient
+    advances the slab in lockstep through
+    :func:`~repro.circuit.batch_transient.batched_transient` and its
+    metric fills ``values[spec.name][k]``.  Lanes the batch cannot
+    carry fall back to the scalar integrator; samples whose fallback or
+    metric fails are quarantined as NaN in ``ledger`` with full
+    diagnostics, and an unexpected metric error raises
+    :class:`SampleEvaluationError`.  A RetryPolicy is not consulted on
+    this path.  The deadline is checked before every slab.
+    """
+    from repro.circuit.batch_transient import batched_transient
+
+    circuit = fixture.circuit
+    max_steps = max(max(1, int(round(s.t_stop_s / s.dt_s))) for s in specs)
+    batch_size = resilience.admit_lanes(
+        batch_size, circuit.n_unknowns, n_steps=max_steps, where=where)
+    lanes = [int(k) for k in lanes]
+    for pos in range(0, len(lanes), batch_size):
+        slab = lanes[pos:pos + batch_size]
+        if chunk.budget is not None:
+            chunk.budget.check("sample %d" % (chunk.start + slab[0]))
+        for spec in specs:
+            results, errors = batched_transient(
+                circuit, len(slab), spec.t_stop_s, spec.dt_s,
+                configure=lambda j: configure(slab[j]), method=spec.method,
+                lte_rtol=spec.lte_rtol, quarantine=True)
+            for j, k in enumerate(slab):
+                index = chunk.start + k
+                set_current_sample(index)
+                value = float("nan")
+                if errors[j] is not None:
+                    ledger.add(index, errors[j], label=spec.name)
+                else:
+                    configure(k)
+                    try:
+                        value = float(spec.metric(results[j], fixture))
+                    except QUARANTINE_ERRORS as exc:
+                        ledger.add(index, exc, label=spec.name)
+                    except Exception as exc:
+                        raise SampleEvaluationError(
+                            index, spec.name, exc) from exc
+                values[spec.name][k] = value
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
@@ -328,7 +389,7 @@ class MonteCarloYield:
         variates are bit-identical to a scalar run — and the solved
         metrics agree within Newton tolerance.  All-transient spec sets
         advance the chunk's dies as lanes instead
-        (:meth:`_evaluate_transient_batched`).
+        (:func:`evaluate_transient_lanes`).
         """
         n = chunk.size
         fixture = clone_fixture(self.fixture)
@@ -351,8 +412,23 @@ class MonteCarloYield:
                     and can_batch(circuit)
                     and resilience.allows("batch")):
                 chunk.span.set(batched="transient")
-                self._evaluate_transient_batched(
-                    chunk, fixture, sampler, batch_size, values, ledger)
+                # Every die's variation first, in die order (the same
+                # sampler calls as the scalar loop, so the variates are
+                # bit-identical), then the dies advance as lanes.
+                devices = circuit.mosfets
+                variations = []
+                for k in range(n):
+                    set_current_sample(chunk.start + k)
+                    sampler.assign(circuit, self.placements)
+                    variations.append([m.variation for m in devices])
+
+                def configure(k: int) -> None:
+                    for m, v in zip(devices, variations[k]):
+                        m.variation = v
+
+                evaluate_transient_lanes(
+                    fixture, self.specs, chunk, range(n), configure,
+                    values, ledger, batch_size, where="mc-transient-chunk")
             else:
                 self._evaluate_scalar(chunk, fixture, sampler, retry,
                                       batch_size, values, ledger)
@@ -415,103 +491,24 @@ class MonteCarloYield:
                         "engine.sample_duration_s",
                         time.perf_counter() - t_sample)
 
-    def _evaluate_transient_batched(self, chunk: Chunk,
-                                    fixture: CircuitFixture,
-                                    sampler: MismatchSampler,
-                                    batch_size: int,
-                                    values: Dict[str, np.ndarray],
-                                    ledger: FailureLedger) -> None:
-        """Dies-as-lanes evaluation of an all-transient-spec chunk.
-
-        Per slab of up to ``batch_size`` dies: the sampler assigns every
-        die's variation first (same calls in the same order as the
-        scalar loop, so the variates are bit-identical), then each
-        spec's transient advances the whole slab in lockstep through
-        :func:`~repro.circuit.batch_transient.batched_transient`.
-        Lanes the batch cannot carry fall back to the scalar
-        integrator; dies whose fallback also fails are quarantined as
-        NaN with full diagnostics — the same degraded-result contract
-        as the scalar chunk.  RetryPolicy (if any) is not consulted on
-        this path; persistent per-die failures quarantine directly.
-        """
-        from repro.circuit.batch_transient import batched_transient
-
-        circuit = fixture.circuit
-        # The lockstep integrator also keeps the whole (B, steps+1, n)
-        # state history — re-admit the slab size with that included.
-        max_steps = max(int(round(s.t_stop_s / s.dt_s)) for s in self.specs)
-        batch_size = resilience.admit_lanes(
-            batch_size, circuit.n_unknowns, n_steps=max_steps,
-            where="mc-transient-chunk")
-        devices = circuit.mosfets
-        for slab0 in range(0, chunk.size, batch_size):
-            if chunk.budget is not None:
-                chunk.budget.check("sample %d" % (chunk.start + slab0))
-            dies = list(range(slab0, min(slab0 + batch_size, chunk.size)))
-            variations = []
-            for k in dies:
-                set_current_sample(chunk.start + k)
-                sampler.assign(circuit, self.placements)
-                variations.append([m.variation for m in devices])
-
-            def configure(j: int) -> None:
-                for m, v in zip(devices, variations[j]):
-                    m.variation = v
-
-            for spec in self.specs:
-                results, errors = batched_transient(
-                    circuit, len(dies), spec.t_stop_s, spec.dt_s,
-                    configure=configure, method=spec.method,
-                    lte_rtol=spec.lte_rtol, quarantine=True)
-                for j, k in enumerate(dies):
-                    index = chunk.start + k
-                    set_current_sample(index)
-                    value = float("nan")
-                    if errors[j] is not None:
-                        ledger.add(index, errors[j], label=spec.name)
-                    else:
-                        configure(j)
-                        try:
-                            value = float(spec.metric(results[j], fixture))
-                        except QUARANTINE_ERRORS as exc:
-                            ledger.add(index, exc, label=spec.name)
-                        except Exception as exc:
-                            raise SampleEvaluationError(
-                                index, spec.name, exc) from exc
-                    values[spec.name][k] = value
-
     def _assemble(self, n_samples: int, chunks: List[dict],
                   partial: bool = False) -> YieldResult:
-        """Combine chunk payloads into a :class:`YieldResult`.
-
-        Chunks are aggregated in ascending start order, so the result
-        is independent of completion order — the property that makes
-        checkpointed resumes bit-identical.
-        """
+        """Combine chunk payloads into a :class:`YieldResult`."""
+        merged = merge_chunks(chunks, n_samples, partial)
         values = {s.name: np.full(n_samples, np.nan) for s in self.specs}
         spec_passes = {s.name: np.zeros(n_samples, dtype=bool)
                        for s in self.specs}
         passes = np.zeros(n_samples, dtype=bool)
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
-        evaluated = np.zeros(n_samples, dtype=bool) if partial else None
-        for chunk in sorted(chunks, key=lambda c: c["start"]):
+        for chunk in merged.chunks:
             sl = slice(chunk["start"], chunk["stop"])
             for name in values:
                 values[name][sl] = chunk["values"][name]
                 spec_passes[name][sl] = chunk["spec_passes"][name]
             passes[sl] = chunk["passes"]
-            if evaluated is not None:
-                evaluated[sl] = True
-            for name, count in chunk["failure_counts"].items():
-                failure_counts[name] = failure_counts.get(name, 0) + count
-            ledger.merge(FailureLedger.from_list(chunk.get("ledger", [])))
-        ledger.dedupe_run_level()
-        ledger.sort()
         return YieldResult(n_samples=n_samples, values=values,
                            passes=passes, spec_passes=spec_passes,
-                           failure_counts=failure_counts,
-                           ledger=ledger, evaluated=evaluated)
+                           failure_counts=merged.failure_counts,
+                           ledger=merged.ledger, evaluated=merged.evaluated)
 
     def run(self, n_samples: int, seed: int = 0, jobs: int = 1,
             backend: str = "auto",

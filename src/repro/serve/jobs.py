@@ -343,13 +343,13 @@ class JobRunner:
     def _lease(self, job: Job, shared: bool = False):
         """Lease the compiled fixture for a job's topology.
 
-        Monte-Carlo and high-sigma treat the fixture as a read-only
-        template (every chunk clones it) and take a ``shared`` lease
-        held for the whole run, so same-topology read-only jobs overlap
-        freely.  Callers that mutate in place (op's warm start, corners'
-        serial PVT sweep) take the default exclusive lease, which the
+        Monte-Carlo, high-sigma and corners treat the fixture as a
+        read-only template (every chunk clones it) and take a
+        ``shared`` lease held for the whole run, so same-topology
+        read-only jobs overlap freely.  Only op mutates in place (its
+        warm start) and takes the default exclusive lease, which the
         shared holders exclude — a concurrent mutator can never skew
-        the parameters an MC chunk clones from.
+        the parameters an ensemble chunk clones from.
         """
         from repro.circuit.parser import parse_netlist
         from repro.circuits.references import CircuitFixture
@@ -541,7 +541,7 @@ class JobRunner:
         tech = self._tech(spec)
         budget.check("serve.corners")
         vdd_source = _param(spec.params, "vdd_source", str, "vdd")
-        with self._lease(job) as (fixture, _reused):
+        with self._lease(job, shared=True) as (fixture, _reused):
             specs = self._mc_specs(job, tech, fixture)
             try:
                 analysis = CornerAnalysis(fixture, specs, tech,

@@ -6,8 +6,9 @@ scalar :func:`~repro.circuit.transient.transient` and agrees with it
 within the batch/scalar Newton-agreement bound — with uniform lanes,
 with per-die mismatch configurations, under LTE step control, and when
 lanes are forced out of the batch onto the scalar fallback.  The same
-seam is then checked end-to-end through ``MonteCarloYield`` transient
-specs and the ``aging_ensemble(batch_size=)`` lockstep driver.
+seam is then checked end-to-end through ``MonteCarloYield`` and
+``HighSigmaYield`` transient specs and the ``aging_ensemble(batch_size=)``
+lockstep driver.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.circuits import (
     ring_oscillator,
 )
 from repro.core import (
+    HighSigmaYield,
     MissionProfile,
     MonteCarloYield,
     aging_ensemble,
@@ -219,6 +221,27 @@ class TestMonteCarloTransientBatch:
         names = [r["name"] for r in sess.tracer.export_records()]
         assert "solve.transient.batch" in names
         assert sess.metrics.counter("solver.transient.batch.solves") > 0
+
+
+class TestHighSigmaTransientBatch:
+    def test_batched_transient_highsigma_matches_scalar(self, tech90):
+        # The shifted draws are evaluation-independent, so the weights
+        # match exactly; the solved swings agree within Newton tolerance.
+        fx = ring_oscillator(tech90, n_stages=3)
+        spec = transient_specification(
+            "swing", _swing_metric, t_stop_s=0.3e-9, dt_s=5e-12,
+            lower=0.5 * tech90.vdd)
+        engine = HighSigmaYield(fx, spec, tech90)
+        kwargs = dict(shift_sigma=3.0, seed=2, chunk_size=4, adapt=False,
+                      surrogate=None)
+        scalar = engine.run(8, **kwargs)
+        with telemetry.session() as sess:
+            batched = engine.run(8, batch_size=3, **kwargs)
+        assert sess.metrics.counter("solver.transient.batch.solves") == 4
+        np.testing.assert_array_equal(scalar.weights, batched.weights)
+        np.testing.assert_array_equal(scalar.fails, batched.fails)
+        np.testing.assert_allclose(batched.values, scalar.values,
+                                   rtol=0, atol=1e-6)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Tests for conducted-emission estimation and PVT corner analysis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.circuit import dc_operating_point, transient
-from repro.circuits import ring_oscillator, simple_current_mirror
+from repro.circuit.mosfet import DeviceVariation
+from repro.circuits import (
+    differential_pair,
+    input_referred_offset_v,
+    ring_oscillator,
+    simple_current_mirror,
+)
 from repro.core import CornerAnalysis, Specification
 from repro.emc import (
     AUTOMOTIVE_MASK,
@@ -178,6 +185,24 @@ class TestCornerAnalysis:
         assert restored == pytest.approx(nominal, rel=1e-9)
         assert fx.circuit["vdd"].spec.dc_value() == pytest.approx(tech90.vdd)
 
+        # A hot die carrying mismatch keeps both through serial and
+        # pooled runs: every PVT point evaluates on a private replica.
+        pair = differential_pair(tech90)
+        devices = pair.circuit.mosfets
+        for device in devices:
+            device.params = replace(device.params, temperature_k=358.15)
+        devices[0].variation = DeviceVariation(delta_vt_v=0.01)
+        offset = Specification("offset", input_referred_offset_v,
+                               lower=-0.1, upper=0.1)
+        analysis = CornerAnalysis(pair, [offset], tech90, vdd_scales=[1.0],
+                                  temperatures_k=[300.0])
+        for kwargs in ({}, {"jobs": 2, "backend": "thread"}):
+            analysis.run(**kwargs)
+            assert (devices[0].params.temperature_k,
+                    devices[0].variation.delta_vt_v) == (358.15, 0.01)
+            assert all(d.params.temperature_k == 358.15 for d in devices)
+            assert pair.circuit["vdd"].spec.dc_value() == tech90.vdd
+
     def test_requires_specs_and_vdd(self, tech90):
         fx = simple_current_mirror(tech90)
         with pytest.raises(ValueError):
@@ -185,6 +210,8 @@ class TestCornerAnalysis:
         spec = self.iout_spec(0.0, 1.0)
         with pytest.raises(TypeError):
             CornerAnalysis(fx, [spec], tech90, vdd_source_name="iref")
+        with pytest.raises(ValueError, match="PVT matrix is empty"):
+            CornerAnalysis(fx, [spec], tech90, vdd_scales=())
 
 
 class TestIrDrop:

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from repro.circuit import dc_operating_point
-from repro.circuits import differential_pair, simple_current_mirror
+from repro.circuits import (
+    differential_pair,
+    input_referred_offset_v,
+    simple_current_mirror,
+)
 from repro.core import (
     CornerAnalysis,
     MonteCarloYield,
@@ -36,6 +40,11 @@ def _square(x):
 def _mirror_iout(fixture):
     """Output current of the current-mirror fixture [A]."""
     return -dc_operating_point(fixture.circuit).source_current("vout")
+
+
+def _offset(fixture):
+    """Input-referred offset of the differential-pair fixture [V]."""
+    return input_referred_offset_v(fixture)
 
 
 class TestParallelMap:
@@ -186,7 +195,8 @@ class TestParallelYield:
 
 
 class TestParallelCornersAndSweeps:
-    def test_corners_parallel_matches_serial(self, tech90):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_corners_parallel_matches_serial(self, tech90, backend):
         fx = simple_current_mirror(tech90, w_m=2e-6, l_m=0.2e-6)
         spec = Specification("iout", _mirror_iout, lower=50e-6, upper=200e-6)
         analysis = CornerAnalysis(fx, [spec], tech90,
@@ -194,10 +204,30 @@ class TestParallelCornersAndSweeps:
                                   vdd_scales=(0.9, 1.1),
                                   temperatures_k=(300.0, 398.15))
         serial = analysis.run()
-        parallel = analysis.run(jobs=4)
+        parallel = analysis.run(jobs=2, backend=backend)
         assert [p.label for p in serial.points] == \
             [p.label for p in parallel.points]
         assert serial.values == parallel.values
+        assert serial.ledger.to_list() == parallel.ledger.to_list()
+
+    def test_aging_ensemble_process_matches_serial(self, tech90):
+        from repro.aging import NbtiModel
+        from repro.core import MissionProfile, aging_ensemble
+
+        fx = differential_pair(tech90)
+        profile = MissionProfile(n_epochs=2, duration_s=1e6,
+                                 t_first_epoch_s=1e3)
+        runs = [aging_ensemble(fx, [NbtiModel(tech90.aging)], profile,
+                               {"offset": _offset}, tech90, n_samples=3,
+                               seed=5, jobs=jobs, backend=backend)
+                for jobs, backend in ((1, "serial"), (2, "process"))]
+        serial, pooled = runs
+        assert len(serial) == len(pooled) == 3
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.times_s, b.times_s)
+            assert np.array_equal(a.metrics["offset"], b.metrics["offset"])
+            for name, shift in a.device_delta_vt_v.items():
+                assert np.array_equal(shift, b.device_delta_vt_v[name])
 
     def test_sweep_parallel_matches_serial(self):
         metrics = {"sq": lambda v: v * v, "neg": lambda v: -v}

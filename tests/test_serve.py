@@ -32,6 +32,7 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -838,6 +839,33 @@ class TestFixtureLeaseIsolation:
             assert corners_final["outcome"] in ("ok", "degraded")
             assert mc_final["outcome"] == "ok"
             assert mc_final["result"] == reference
+
+    def test_corners_leaves_leased_fixture_unchanged(self):
+        # Corners evaluates every PVT point on a private replica, so it
+        # takes a shared lease and never rewrites the cached fixture.
+        from repro.circuit.mosfet import DeviceVariation
+
+        def corners(limit_mv):
+            return {"analysis": "corners", "tech": "90nm",
+                    "backend": "serial", "params": {"limit_mv": limit_mv}}
+
+        def state(circuit):
+            return (circuit["vdd"].spec.dc_value(),
+                    [d.params.temperature_k for d in circuit.mosfets],
+                    [d.variation for d in circuit.mosfets])
+
+        with serving(workers=1) as (app, client, _exit):
+            assert client.run(corners(5.0))["outcome"] == "ok"
+            (session,) = app.sessions._entries.values()
+            circuit = session.fixture.circuit
+            # A hot die with mismatch: state a reader must leave alone.
+            for device in circuit.mosfets:
+                device.params = replace(device.params, temperature_k=358.15)
+            circuit.mosfets[0].variation = DeviceVariation(delta_vt_v=0.01)
+            before = state(circuit)
+            final = client.run(corners(6.0))
+            assert final["outcome"] == "ok" and final["cached"] is False
+            assert state(circuit) == before
 
 
 # ----------------------------------------------------------------------

@@ -422,8 +422,12 @@ class TestEngineTelemetry:
         points = [s for s in spans if s["name"] == "point"]
         assert len(points) == 5  # five corners x 1 vdd x 1 T
         run_id = next(s["id"] for s in spans if s["name"] == "run")
-        assert all(p["parent"] == run_id for p in points)
-        assert sess.metrics.counter("engine.corner_points") == 5
+        chunks = {s["id"]: s for s in spans if s["name"] == "chunk"}
+        assert len(chunks) == 5  # one PVT point per chunk
+        assert all(c["parent"] == run_id for c in chunks.values())
+        assert all(p["parent"] in chunks for p in points)
+        assert sess.metrics.counter("corners.samples") == 5
+        assert sess.metrics.counters_with_prefix("engine.") == {}
 
     def test_aging_ensemble_span_tree(self, tech90):
         from repro.aging import NbtiModel
@@ -449,6 +453,10 @@ class TestEngineTelemetry:
         assert names.count("aging.mission") == 2
         assert names.count("aging.epoch") == 4
         assert sess.metrics.counter("engine.aging_epochs") == 4
+        chunks = {s["id"] for s in spans if s["name"] == "chunk"}
+        assert all(s["parent"] in chunks for s in spans
+                   if s["name"] == "sample")
+        assert sess.metrics.counter("aging.samples") == 2
 
 
 # ----------------------------------------------------------------------
